@@ -4,6 +4,41 @@
 
 use apr_mesh::Vec3;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Multiply-rotate hasher for integer bin keys. The keys are three small
+/// integers from in-process positions, so SipHash's flood resistance buys
+/// nothing here; this is a handful of instructions per key.
+#[derive(Debug, Default, Clone, Copy)]
+struct BinHasher(u64);
+
+impl BinHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for BinHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_i64(&mut self, v: i64) {
+        self.add(v as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type BinMap = HashMap<(i64, i64, i64), Vec<GridEntry>, BuildHasherDefault<BinHasher>>;
 
 /// A point sample registered in the subgrid: owning cell and vertex.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,7 +56,7 @@ pub struct GridEntry {
 pub struct UniformSubgrid {
     /// Cubic bin edge length.
     pub bin_size: f64,
-    bins: HashMap<(i64, i64, i64), Vec<GridEntry>>,
+    bins: BinMap,
     len: usize,
 }
 
@@ -34,7 +69,7 @@ impl UniformSubgrid {
         assert!(bin_size > 0.0, "bin size must be positive, got {bin_size}");
         Self {
             bin_size,
-            bins: HashMap::new(),
+            bins: BinMap::default(),
             len: 0,
         }
     }
@@ -209,5 +244,39 @@ mod tests {
         assert!(g.is_empty());
         g.insert(2, 0, Vec3::ZERO);
         assert_eq!(g.len(), 1);
+    }
+
+    #[test]
+    fn neighbours_visit_bins_in_xyz_order_then_insertion_order() {
+        // Scattered samples, inserted in a shuffled order, must be visited
+        // bin by bin in bx, by, bz order and, within a bin, in insertion
+        // order — independent of how the bin map hashes its keys.
+        let mut g = UniformSubgrid::new(0.7);
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut samples = Vec::new();
+        for i in 0..600u32 {
+            let p = Vec3::new(next(), next(), next()) * 6.0 - Vec3::splat(3.0);
+            g.insert(u64::from(i % 7), i, p);
+            samples.push((g.key(p), i, p));
+        }
+        let centre = Vec3::new(0.3, -0.2, 0.1);
+        let radius = 1.9;
+        let mut want: Vec<_> = samples
+            .iter()
+            .filter(|(_, i, p)| i % 7 != 3 && p.distance_sq(centre) <= radius * radius)
+            .map(|&(key, i, _)| (key, i))
+            .collect();
+        want.sort();
+        let want: Vec<u32> = want.into_iter().map(|(_, i)| i).collect();
+        let mut seen = Vec::new();
+        g.for_each_neighbor(centre, radius, 3, |e| seen.push(e.vertex));
+        assert!(seen.len() > 50, "only {} samples in range", seen.len());
+        assert_eq!(seen, want);
     }
 }

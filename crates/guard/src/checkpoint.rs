@@ -35,6 +35,10 @@ const MAGIC: &[u8; 8] = b"APRGUARD";
 /// by their own per-section CRCs); v2 blobs (no trailing CRC) still parse.
 pub const FORMAT_VERSION: u32 = 3;
 
+/// Smallest possible section: 1-byte name length, empty name, 8-byte
+/// payload length, empty payload, 4-byte CRC.
+const MIN_SECTION_BYTES: usize = 1 + 8 + 4;
+
 /// Builder for a multi-section checkpoint blob.
 #[derive(Debug, Default)]
 pub struct CheckpointWriter {
@@ -139,8 +143,12 @@ impl<'a> CheckpointReader<'a> {
         r.bytes(8)?; // magic, already validated
         r.u32()?; // version, already validated
         let count = r.u32()?;
-        let mut sections = Vec::with_capacity(count as usize);
-        let mut payload_spans = Vec::with_capacity(count as usize);
+        // The count is untrusted: a section takes at least
+        // MIN_SECTION_BYTES, so never reserve more than the bytes left
+        // could hold (a flipped count bit must not request gigabytes).
+        let reserve = (count as usize).min(r.remaining() / MIN_SECTION_BYTES);
+        let mut sections = Vec::with_capacity(reserve);
+        let mut payload_spans = Vec::with_capacity(reserve);
         for _ in 0..count {
             let name_len = r.u8()? as usize;
             let name = std::str::from_utf8(r.bytes(name_len)?)

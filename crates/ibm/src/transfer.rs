@@ -19,24 +19,40 @@ const POINT_CHUNK: usize = 32;
 /// identically for any `APR_THREADS`.
 const SPREAD_MAX_CHUNKS: usize = 8;
 
-/// Stencil description around a Lagrangian point for a given kernel.
+/// Widest per-axis stencil of any [`DeltaKernel`] (`stencil_width() + 1`).
+const MAX_WIDTH: usize = 5;
+
+/// Separable stencil around a Lagrangian point: per axis and offset, the
+/// wrapped lattice coordinate (`None` past a non-periodic face) and the
+/// 1-D kernel weight. Built once per point, so the 3-D loops only multiply
+/// weights instead of evaluating the kernel at every node.
 struct Stencil {
-    base: [i64; 3],
     width: usize,
+    index: [[Option<usize>; MAX_WIDTH]; 3],
+    weight: [[f64; MAX_WIDTH]; 3],
 }
 
 #[inline]
-fn stencil(kernel: DeltaKernel, p: Vec3) -> Stencil {
-    // Leftmost lattice point inside the support [p − s, p + s] on each axis.
+fn stencil(lattice: &Lattice, kernel: DeltaKernel, p: Vec3) -> Stencil {
+    let width = kernel.stencil_width() + 1;
+    debug_assert!(width <= MAX_WIDTH);
     let s = kernel.support();
-    Stencil {
-        base: [
-            (p.x - s).ceil() as i64,
-            (p.y - s).ceil() as i64,
-            (p.z - s).ceil() as i64,
-        ],
-        width: kernel.stencil_width() + 1,
+    let dims = [lattice.nx, lattice.ny, lattice.nz];
+    let mut out = Stencil {
+        width,
+        index: [[None; MAX_WIDTH]; 3],
+        weight: [[0.0; MAX_WIDTH]; 3],
+    };
+    for (axis, c) in [p.x, p.y, p.z].into_iter().enumerate() {
+        // Leftmost lattice point inside the support [c − s, c + s].
+        let base = (c - s).ceil() as i64;
+        for d in 0..width {
+            let g = base + d as i64;
+            out.index[axis][d] = wrap(g, dims[axis], lattice.periodic[axis]);
+            out.weight[axis][d] = kernel.phi(c - g as f64);
+        }
     }
+    out
 }
 
 #[inline]
@@ -48,6 +64,46 @@ fn wrap(v: i64, n: usize, periodic: bool) -> Option<usize> {
         Some(((v % n + n) % n) as usize)
     } else {
         None
+    }
+}
+
+/// Visit every in-lattice node of `p`'s stencil with a non-zero weight, in
+/// z, y, x order, passing the node index and its weight `(wz·wy)·wx`.
+#[inline]
+fn for_each_node(
+    lattice: &Lattice,
+    kernel: DeltaKernel,
+    p: Vec3,
+    mut visit: impl FnMut(usize, f64),
+) {
+    let s = stencil(lattice, kernel, p);
+    for dz in 0..s.width {
+        let Some(z) = s.index[2][dz] else {
+            continue;
+        };
+        let wz = s.weight[2][dz];
+        if wz == 0.0 {
+            continue;
+        }
+        for dy in 0..s.width {
+            let Some(y) = s.index[1][dy] else {
+                continue;
+            };
+            let wyz = wz * s.weight[1][dy];
+            if wyz == 0.0 {
+                continue;
+            }
+            for dx in 0..s.width {
+                let Some(x) = s.index[0][dx] else {
+                    continue;
+                };
+                let w = wyz * s.weight[0][dx];
+                if w == 0.0 {
+                    continue;
+                }
+                visit(lattice.idx(x, y, z), w);
+            }
+        }
     }
 }
 
@@ -75,41 +131,11 @@ pub fn interpolate_velocities(
 
 /// Interpolate the velocity at a single Lagrangian point.
 pub fn interpolate_velocity(lattice: &Lattice, p: Vec3, kernel: DeltaKernel) -> Vec3 {
-    let s = stencil(kernel, p);
     let mut v = Vec3::ZERO;
-    for dz in 0..s.width {
-        let gz = s.base[2] + dz as i64;
-        let Some(z) = wrap(gz, lattice.nz, lattice.periodic[2]) else {
-            continue;
-        };
-        let wz = kernel.phi(p.z - gz as f64);
-        if wz == 0.0 {
-            continue;
-        }
-        for dy in 0..s.width {
-            let gy = s.base[1] + dy as i64;
-            let Some(y) = wrap(gy, lattice.ny, lattice.periodic[1]) else {
-                continue;
-            };
-            let wyz = wz * kernel.phi(p.y - gy as f64);
-            if wyz == 0.0 {
-                continue;
-            }
-            for dx in 0..s.width {
-                let gx = s.base[0] + dx as i64;
-                let Some(x) = wrap(gx, lattice.nx, lattice.periodic[0]) else {
-                    continue;
-                };
-                let w = wyz * kernel.phi(p.x - gx as f64);
-                if w == 0.0 {
-                    continue;
-                }
-                let node = lattice.idx(x, y, z);
-                let u = lattice.velocity_at(node);
-                v += Vec3::new(u[0], u[1], u[2]) * w;
-            }
-        }
-    }
+    for_each_node(lattice, kernel, p, |node, w| {
+        let u = lattice.velocity_at(node);
+        v += Vec3::new(u[0], u[1], u[2]) * w;
+    });
     v
 }
 
@@ -138,9 +164,12 @@ pub fn spread_forces(
 }
 
 /// [`spread_forces`] variant that accumulates into a caller-owned force
-/// field (`node*3 + axis`, same layout as `Lattice::force`) and recycles
-/// scratch buffers across calls — the steady-state path used by the FSI
-/// loop, which spreads many cells per sub-step.
+/// field (`node*3 + axis`, same layout as `Lattice::force`), drawing its
+/// per-chunk scratch fields from `scratch`. The buffers are recycled only
+/// across calls that share one pool. The FSI loop
+/// (`apr_core::fsi::spread_cell_forces`) does not: it builds a fresh pool
+/// on every call, because a pool kept across sub-steps measured no gain at
+/// a 25³ window and would keep up to 8 lattice-sized fields resident.
 ///
 /// Runs in parallel over fixed position chunks; per-chunk scratch fields
 /// are merged into `out` in chunk order on the caller, so the result is
@@ -190,45 +219,15 @@ pub fn spread_forces_into(
 /// Spread one Lagrangian force into `field`, returning the fluid-covered
 /// weight of its stencil.
 fn spread_one(lattice: &Lattice, p: Vec3, g: Vec3, kernel: DeltaKernel, field: &mut [f64]) -> f64 {
-    let s = stencil(kernel, p);
     let mut covered_weight = 0.0;
-    for dz in 0..s.width {
-        let gz = s.base[2] + dz as i64;
-        let Some(z) = wrap(gz, lattice.nz, lattice.periodic[2]) else {
-            continue;
-        };
-        let wz = kernel.phi(p.z - gz as f64);
-        if wz == 0.0 {
-            continue;
+    for_each_node(lattice, kernel, p, |node, w| {
+        if lattice.flag(node) == NodeClass::Fluid {
+            field[node * 3] += g.x * w;
+            field[node * 3 + 1] += g.y * w;
+            field[node * 3 + 2] += g.z * w;
+            covered_weight += w;
         }
-        for dy in 0..s.width {
-            let gy = s.base[1] + dy as i64;
-            let Some(y) = wrap(gy, lattice.ny, lattice.periodic[1]) else {
-                continue;
-            };
-            let wyz = wz * kernel.phi(p.y - gy as f64);
-            if wyz == 0.0 {
-                continue;
-            }
-            for dx in 0..s.width {
-                let gx = s.base[0] + dx as i64;
-                let Some(x) = wrap(gx, lattice.nx, lattice.periodic[0]) else {
-                    continue;
-                };
-                let w = wyz * kernel.phi(p.x - gx as f64);
-                if w == 0.0 {
-                    continue;
-                }
-                let node = lattice.idx(x, y, z);
-                if lattice.flag(node) == NodeClass::Fluid {
-                    field[node * 3] += g.x * w;
-                    field[node * 3 + 1] += g.y * w;
-                    field[node * 3 + 2] += g.z * w;
-                    covered_weight += w;
-                }
-            }
-        }
-    }
+    });
     covered_weight
 }
 
@@ -243,10 +242,154 @@ pub fn advect_points(lattice: &Lattice, positions: &mut [Vec3], kernel: DeltaKer
     });
 }
 
+/// The transfers as they were before the separable weights were hoisted
+/// out of the node loop: `phi` is evaluated at every stencil node. Kept as
+/// the oracle that the hoisted version must match bit for bit.
+#[cfg(test)]
+mod per_node_phi {
+    use super::{wrap, SPREAD_MAX_CHUNKS};
+    use crate::delta::DeltaKernel;
+    use apr_exec::{ScratchPool, UnsafeSlice};
+    use apr_lattice::{Lattice, NodeClass};
+    use apr_mesh::Vec3;
+
+    fn base(kernel: DeltaKernel, p: Vec3) -> ([i64; 3], usize) {
+        let s = kernel.support();
+        (
+            [
+                (p.x - s).ceil() as i64,
+                (p.y - s).ceil() as i64,
+                (p.z - s).ceil() as i64,
+            ],
+            kernel.stencil_width() + 1,
+        )
+    }
+
+    pub fn interpolate_velocity(lattice: &Lattice, p: Vec3, kernel: DeltaKernel) -> Vec3 {
+        let (base, width) = base(kernel, p);
+        let mut v = Vec3::ZERO;
+        for dz in 0..width {
+            let gz = base[2] + dz as i64;
+            let Some(z) = wrap(gz, lattice.nz, lattice.periodic[2]) else {
+                continue;
+            };
+            let wz = kernel.phi(p.z - gz as f64);
+            if wz == 0.0 {
+                continue;
+            }
+            for dy in 0..width {
+                let gy = base[1] + dy as i64;
+                let Some(y) = wrap(gy, lattice.ny, lattice.periodic[1]) else {
+                    continue;
+                };
+                let wyz = wz * kernel.phi(p.y - gy as f64);
+                if wyz == 0.0 {
+                    continue;
+                }
+                for dx in 0..width {
+                    let gx = base[0] + dx as i64;
+                    let Some(x) = wrap(gx, lattice.nx, lattice.periodic[0]) else {
+                        continue;
+                    };
+                    let w = wyz * kernel.phi(p.x - gx as f64);
+                    if w == 0.0 {
+                        continue;
+                    }
+                    let u = lattice.velocity_at(lattice.idx(x, y, z));
+                    v += Vec3::new(u[0], u[1], u[2]) * w;
+                }
+            }
+        }
+        v
+    }
+
+    fn spread_one(
+        lattice: &Lattice,
+        p: Vec3,
+        g: Vec3,
+        kernel: DeltaKernel,
+        field: &mut [f64],
+    ) -> f64 {
+        let (base, width) = base(kernel, p);
+        let mut covered_weight = 0.0;
+        for dz in 0..width {
+            let gz = base[2] + dz as i64;
+            let Some(z) = wrap(gz, lattice.nz, lattice.periodic[2]) else {
+                continue;
+            };
+            let wz = kernel.phi(p.z - gz as f64);
+            if wz == 0.0 {
+                continue;
+            }
+            for dy in 0..width {
+                let gy = base[1] + dy as i64;
+                let Some(y) = wrap(gy, lattice.ny, lattice.periodic[1]) else {
+                    continue;
+                };
+                let wyz = wz * kernel.phi(p.y - gy as f64);
+                if wyz == 0.0 {
+                    continue;
+                }
+                for dx in 0..width {
+                    let gx = base[0] + dx as i64;
+                    let Some(x) = wrap(gx, lattice.nx, lattice.periodic[0]) else {
+                        continue;
+                    };
+                    let w = wyz * kernel.phi(p.x - gx as f64);
+                    if w == 0.0 {
+                        continue;
+                    }
+                    let node = lattice.idx(x, y, z);
+                    if lattice.flag(node) == NodeClass::Fluid {
+                        field[node * 3] += g.x * w;
+                        field[node * 3 + 1] += g.y * w;
+                        field[node * 3 + 2] += g.z * w;
+                        covered_weight += w;
+                    }
+                }
+            }
+        }
+        covered_weight
+    }
+
+    pub fn spread_forces_into(
+        lattice: &Lattice,
+        positions: &[Vec3],
+        forces: &[Vec3],
+        kernel: DeltaKernel,
+        out: &mut [f64],
+    ) -> f64 {
+        let scratch = ScratchPool::new();
+        let chunks = positions.len().min(SPREAD_MAX_CHUNKS);
+        let mut chunk_weights = vec![0.0f64; chunks];
+        {
+            let weights = UnsafeSlice::new(&mut chunk_weights);
+            apr_exec::current().par_accumulate_f64(
+                out,
+                positions.len(),
+                SPREAD_MAX_CHUNKS,
+                &scratch,
+                |chunk, range, buf| {
+                    let mut covered = 0.0;
+                    for (&p, &g) in positions[range.clone()].iter().zip(&forces[range]) {
+                        covered += spread_one(lattice, p, g, kernel, buf);
+                    }
+                    // SAFETY: one writer per chunk slot.
+                    unsafe { weights.slice_mut(chunk, 1)[0] = covered };
+                },
+            );
+        }
+        let covered_weight: f64 = chunk_weights.iter().sum();
+        covered_weight / positions.len() as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apr_exec::ExecPool;
     use apr_lattice::Lattice;
+    use std::sync::Arc;
 
     fn uniform_lattice(u: [f64; 3]) -> Lattice {
         let mut lat = Lattice::new(12, 12, 12, 1.0);
@@ -362,6 +505,136 @@ mod tests {
                 touched >= (w - 1).max(1).pow(3),
                 "{kernel:?}: touched {touched}"
             );
+        }
+    }
+
+    /// SplitMix64 stream mapped to `[0, 1)`.
+    struct Rng(u64);
+
+    impl Rng {
+        fn unit(&mut self) -> f64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn range(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * self.unit()
+        }
+    }
+
+    /// A 13×11×9 lattice with a random velocity field. Walled lattices are
+    /// non-periodic in x and z and mark about a fifth of the nodes `Wall`.
+    fn oracle_lattice(rng: &mut Rng, walled: bool) -> Lattice {
+        let mut lat = Lattice::new(13, 11, 9, 1.0);
+        lat.periodic = if walled {
+            [false, true, false]
+        } else {
+            [true, true, true]
+        };
+        for node in 0..lat.node_count() {
+            let u = [
+                rng.range(-0.05, 0.05),
+                rng.range(-0.05, 0.05),
+                rng.range(-0.05, 0.05),
+            ];
+            lat.initialize_node_equilibrium(node, rng.range(0.9, 1.1), u);
+            if walled && rng.unit() < 0.2 {
+                lat.set_flag(node, NodeClass::Wall);
+            }
+        }
+        lat
+    }
+
+    /// Random points reaching up to 2.5 spacings past every face, so
+    /// supports cross non-periodic faces and wrap periodic ones, plus
+    /// points on nodes and half-nodes, where kernel weights hit exact
+    /// zeros and support edges.
+    fn oracle_points(rng: &mut Rng, lat: &Lattice) -> Vec<Vec3> {
+        let dims = [lat.nx as f64, lat.ny as f64, lat.nz as f64];
+        let mut pts: Vec<Vec3> = (0..187)
+            .map(|_| {
+                Vec3::new(
+                    rng.range(-2.5, dims[0] + 2.5),
+                    rng.range(-2.5, dims[1] + 2.5),
+                    rng.range(-2.5, dims[2] + 2.5),
+                )
+            })
+            .collect();
+        for k in 0..16 {
+            let c = k as f64 * 0.5 - 1.0;
+            pts.push(Vec3::new(c, 4.0 + c, dims[2] - c));
+        }
+        pts
+    }
+
+    #[test]
+    fn hoisted_weights_match_per_node_phi_bit_for_bit() {
+        let bits = |v: Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+        let mut rng = Rng(0x5eed);
+        for walled in [false, true] {
+            for kernel in [
+                DeltaKernel::Cosine4,
+                DeltaKernel::Peskin3,
+                DeltaKernel::Linear2,
+            ] {
+                let lat = oracle_lattice(&mut rng, walled);
+                let pts = oracle_points(&mut rng, &lat);
+                // More points than spread chunks, so every chunk spreads
+                // several points into a shared scratch field.
+                assert!(pts.len() > 8 * SPREAD_MAX_CHUNKS);
+                let forces: Vec<Vec3> = pts
+                    .iter()
+                    .map(|_| {
+                        Vec3::new(
+                            rng.range(-1.0, 1.0),
+                            rng.range(-1.0, 1.0),
+                            rng.range(-1.0, 1.0),
+                        )
+                    })
+                    .collect();
+                let case = format!("{kernel:?}, walled = {walled}");
+
+                let mut want_field = vec![0.0; lat.node_count() * 3];
+                let want_covered = apr_exec::with_pool(Arc::new(ExecPool::new(1)), || {
+                    per_node_phi::spread_forces_into(&lat, &pts, &forces, kernel, &mut want_field)
+                });
+                let want_v: Vec<_> = pts
+                    .iter()
+                    .map(|&p| bits(per_node_phi::interpolate_velocity(&lat, p, kernel)))
+                    .collect();
+                assert!(want_field.iter().any(|&f| f != 0.0), "{case}: empty spread");
+
+                for threads in [1, 2, 4] {
+                    let pool = Arc::new(ExecPool::new(threads));
+                    let (field, covered, v, advected) = apr_exec::with_pool(pool, || {
+                        let mut field = vec![0.0; lat.node_count() * 3];
+                        let scratch = ScratchPool::new();
+                        let covered =
+                            spread_forces_into(&lat, &pts, &forces, kernel, &mut field, &scratch);
+                        let v = interpolate_velocities(&lat, &pts, kernel);
+                        let mut advected = pts.clone();
+                        advect_points(&lat, &mut advected, kernel);
+                        (field, covered, v, advected)
+                    });
+                    let case = format!("{case}, {threads} threads");
+                    assert_eq!(covered.to_bits(), want_covered.to_bits(), "{case}");
+                    assert!(
+                        field
+                            .iter()
+                            .zip(&want_field)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{case}: force field differs"
+                    );
+                    for (i, &p) in pts.iter().enumerate() {
+                        assert_eq!(bits(v[i]), want_v[i], "{case}: velocity at {p:?}");
+                        let want_p = p + per_node_phi::interpolate_velocity(&lat, p, kernel);
+                        assert_eq!(bits(advected[i]), bits(want_p), "{case}: advect {p:?}");
+                    }
+                }
+            }
         }
     }
 }
