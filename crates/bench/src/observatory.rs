@@ -987,15 +987,11 @@ fn measure_resilience_overhead(steps: u64) -> Result<f64, String> {
     Ok((resilient_ns / raw_ns - 1.0) * 100.0)
 }
 
-/// `kernels` scenario: the SIMD fused kernel on the scaling box (paper
-/// Table 1's per-node update cost). Before timing, runs a short
-/// three-way bit-comparison (reference vs fused vs SIMD) and checks both
-/// fused backends hold less auxiliary memory than a second distribution
-/// array — so the headline MLUPS can never come from a diverged or
-/// memory-cheating kernel. The timed region covers the two fused kernels
-/// back to back; the reported wall is their sum, keeping the headline
-/// comparable to earlier fused-only artifacts while the per-phase rows
-/// (`bench.kernels.fused` / `bench.kernels.simd`) split them.
+/// `kernels` scenario: the fused kernel on the scaling box (paper Table
+/// 1's per-node update cost). Before timing, runs a short bit-comparison
+/// against the reference kernel and checks the fused backend holds less
+/// auxiliary memory than a second distribution array — so the headline
+/// MLUPS can never come from a diverged or memory-cheating kernel.
 fn run_kernels(steps: u64) -> Result<(u64, u64), String> {
     use apr_lattice::KernelKind;
     let edge = 32usize;
@@ -1008,11 +1004,9 @@ fn run_kernels(steps: u64) -> Result<(u64, u64), String> {
     };
     let mut reference = make(KernelKind::Reference);
     let mut fused = make(KernelKind::FusedSwap);
-    let mut simd = make(KernelKind::FusedSimd);
     for _ in 0..3 {
         reference.step();
         fused.step();
-        simd.step();
     }
     for node in 0..reference.node_count() {
         if reference.distributions(node) != fused.distributions(node) {
@@ -1020,22 +1014,15 @@ fn run_kernels(steps: u64) -> Result<(u64, u64), String> {
                 "fused kernel diverged from reference at node {node}"
             ));
         }
-        if reference.distributions(node) != simd.distributions(node) {
-            return Err(format!(
-                "simd kernel diverged from reference at node {node}"
-            ));
-        }
     }
     let second_array_bytes = reference.node_count() * apr_lattice::Q * 8;
-    for (name, lat) in [("fused", &fused), ("simd", &simd)] {
-        if lat.kernel_scratch_bytes() >= second_array_bytes {
-            return Err(format!(
-                "{name} kernel scratch ({} B) is not smaller than the second \
-                 distribution array it is supposed to eliminate ({} B)",
-                lat.kernel_scratch_bytes(),
-                second_array_bytes
-            ));
-        }
+    if fused.kernel_scratch_bytes() >= second_array_bytes {
+        return Err(format!(
+            "fused kernel scratch ({} B) is not smaller than the second \
+             distribution array it is supposed to eliminate ({} B)",
+            fused.kernel_scratch_bytes(),
+            second_array_bytes
+        ));
     }
     apr_telemetry::global().enable();
     let (_, fused_ns) = apr_telemetry::time("bench.kernels.fused", || {
@@ -1043,12 +1030,7 @@ fn run_kernels(steps: u64) -> Result<(u64, u64), String> {
             fused.step();
         }
     });
-    let (_, simd_ns) = apr_telemetry::time("bench.kernels.simd", || {
-        for _ in 0..steps {
-            simd.step();
-        }
-    });
-    Ok(((edge * edge * edge) as u64 * steps * 2, fused_ns + simd_ns))
+    Ok(((edge * edge * edge) as u64 * steps, fused_ns))
 }
 
 /// `serve` scenario: 16 sessions over 2 scenario specs oversubscribed onto

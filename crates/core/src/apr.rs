@@ -239,12 +239,7 @@ impl AprEngineBuilder {
         let kernel_attr = runtime.and_then(|c| c.kernel).or(lbm_kernel);
         apr_telemetry::set_attribute(
             "runtime.kernel",
-            match kernel_attr {
-                Some(KernelKind::Reference) => "reference",
-                Some(KernelKind::FusedSwap) => "fused",
-                Some(KernelKind::FusedSimd) => "simd",
-                None => "auto",
-            },
+            kernel_attr.map_or("auto", KernelKind::as_str),
         );
         apr_telemetry::set_attribute("runtime.threads", apr_exec::current_threads().to_string());
         apr_telemetry::set_attribute(

@@ -167,7 +167,8 @@ pub fn restore_engine(
     engine.anatomy = read_anatomy(&mut ckpt.require("anatomy")?)?;
 
     let mut tracker = ckpt.require("tracker")?;
-    let count = tracker.usize()?;
+    // Each sample is a u64 step plus a Vec3: 32 bytes.
+    let count = tracker.count(32)?;
     let mut samples = Vec::with_capacity(count);
     for _ in 0..count {
         let step = tracker.u64()?;

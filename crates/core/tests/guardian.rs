@@ -7,7 +7,7 @@
 use apr_cells::ContactParams;
 use apr_core::{restore_engine, save_engine, AprEngine};
 use apr_coupling::fine_tau;
-use apr_guard::GuardError;
+use apr_guard::{ByteWriter, CheckpointReader, CheckpointWriter, GuardError};
 use apr_lattice::{force_driven_tube, Lattice};
 use apr_membrane::{Membrane, MembraneMaterial, ReferenceState};
 use apr_mesh::{biconcave_rbc_mesh, icosphere, Vec3};
@@ -203,6 +203,38 @@ fn corrupted_checkpoint_is_rejected_with_typed_error() {
     // The engine is still usable after the rejected restores.
     restore_engine(&mut target, &good, None).unwrap();
     target.step();
+}
+
+/// `blob` with section `name`'s payload replaced (CRCs recomputed).
+fn with_section(blob: &[u8], name: &str, payload: Vec<u8>) -> Vec<u8> {
+    let ckpt = CheckpointReader::parse(blob).unwrap();
+    let mut w = CheckpointWriter::new();
+    for section in ckpt.section_names() {
+        let bytes = if section == name {
+            payload.clone()
+        } else {
+            ckpt.get(section).unwrap().to_vec()
+        };
+        w.section(section, bytes);
+    }
+    w.finish()
+}
+
+#[test]
+fn oversized_tracker_count_is_a_format_error() {
+    let eng = tube_engine(3, 48, 4e-6);
+    let good = save_engine(&eng);
+    // 2^36 samples of 32 bytes each, backed by one sample's worth.
+    let mut tracker = ByteWriter::new();
+    tracker.usize(1 << 36);
+    tracker.bytes(&[0; 32]);
+    let bad = with_section(&good, "tracker", tracker.into_bytes());
+    let mut target = tube_engine(3, 48, 4e-6);
+    assert!(matches!(
+        restore_engine(&mut target, &bad, None),
+        Err(GuardError::Format(_))
+    ));
+    restore_engine(&mut target, &good, None).unwrap();
 }
 
 #[test]

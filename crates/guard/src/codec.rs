@@ -266,10 +266,29 @@ impl<'a> ByteReader<'a> {
         Ok(f64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
 
+    /// Read an element count for a sequence whose elements each occupy
+    /// at least `min_elem_bytes` of the bytes that follow. A count the
+    /// remaining bytes cannot hold is a [`GuardError::Format`], so callers
+    /// may size allocations by it.
+    pub fn count(&mut self, min_elem_bytes: usize) -> Result<usize, GuardError> {
+        let n = self.usize()?;
+        let need = n.checked_mul(min_elem_bytes).ok_or_else(|| {
+            GuardError::Format(format!(
+                "length {n} overflows element size {min_elem_bytes}"
+            ))
+        })?;
+        if need > self.remaining() {
+            return Err(GuardError::Format(format!(
+                "length prefix {n} needs {need} bytes but only {} remain",
+                self.remaining()
+            )));
+        }
+        Ok(n)
+    }
+
     /// Read a length-prefixed f64 vector.
     pub fn f64s(&mut self) -> Result<Vec<f64>, GuardError> {
-        let n = self.usize()?;
-        self.checked_len(n, 8)?;
+        let n = self.count(8)?;
         let raw = self.bytes(n * 8)?;
         #[cfg(target_endian = "little")]
         {
@@ -294,8 +313,7 @@ impl<'a> ByteReader<'a> {
 
     /// Read a length-prefixed [`Vec3`] vector.
     pub fn vec3s(&mut self) -> Result<Vec<Vec3>, GuardError> {
-        let n = self.usize()?;
-        self.checked_len(n, 24)?;
+        let n = self.count(24)?;
         (0..n).map(|_| self.vec3()).collect()
     }
 
@@ -305,20 +323,6 @@ impl<'a> ByteReader<'a> {
         let b = self.bytes(n)?;
         String::from_utf8(b.to_vec())
             .map_err(|e| GuardError::Format(format!("invalid UTF-8 string: {e}")))
-    }
-
-    /// Reject length prefixes that overrun the buffer before allocating.
-    fn checked_len(&self, n: usize, elem: usize) -> Result<(), GuardError> {
-        let need = n.checked_mul(elem).ok_or_else(|| {
-            GuardError::Format(format!("length {n} overflows element size {elem}"))
-        })?;
-        if need > self.remaining() {
-            return Err(GuardError::Format(format!(
-                "length prefix {n} needs {need} bytes but only {} remain",
-                self.remaining()
-            )));
-        }
-        Ok(())
     }
 }
 

@@ -173,7 +173,8 @@ pub fn read_pool(
     r: &mut ByteReader<'_>,
     membranes: MembraneProvider<'_>,
 ) -> Result<CellPool, GuardError> {
-    let capacity = r.usize()?;
+    // Every slot takes at least its one-byte occupancy flag.
+    let capacity = r.count(1)?;
     let mut slots: Vec<Option<Cell>> = Vec::with_capacity(capacity);
     for _ in 0..capacity {
         if !r.bool()? {
@@ -204,7 +205,7 @@ pub fn read_pool(
             id, kind, membrane, vertices, velocities, forces,
         )));
     }
-    let free_len = r.usize()?;
+    let free_len = r.count(8)?;
     let mut free = Vec::with_capacity(free_len);
     for _ in 0..free_len {
         free.push(r.u64()? as usize);
@@ -328,6 +329,33 @@ mod tests {
         assert!(matches!(
             read_pool(&mut ByteReader::new(&blob), &provider),
             Err(GuardError::MissingContext(_))
+        ));
+    }
+
+    #[test]
+    fn oversized_pool_counts_are_format_errors() {
+        let provider = |_: CellKind| Some(membrane());
+        // A 13-byte section claiming 2^36 slots.
+        let mut w = ByteWriter::new();
+        w.usize(1 << 36);
+        w.bytes(&[0; 5]);
+        let blob = w.into_bytes();
+        assert_eq!(blob.len(), 13);
+        assert!(matches!(
+            read_pool(&mut ByteReader::new(&blob), &provider),
+            Err(GuardError::Format(_))
+        ));
+        // An empty pool whose free list claims 2^36 entries.
+        let mut w = ByteWriter::new();
+        w.usize(0);
+        w.usize(1 << 36);
+        for _ in 0..4 {
+            w.u64(0);
+        }
+        let blob = w.into_bytes();
+        assert!(matches!(
+            read_pool(&mut ByteReader::new(&blob), &provider),
+            Err(GuardError::Format(_))
         ));
     }
 }

@@ -53,7 +53,7 @@ impl std::fmt::Display for ChunkingPolicy {
 /// rejected value verbatim.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuntimeConfigError {
-    /// `APR_KERNEL` was none of `auto`/`reference`/`fused`/`simd`.
+    /// `APR_KERNEL` was none of `auto`/`reference`/`fused`.
     Kernel(String),
     /// `APR_THREADS` was not a non-negative integer.
     Threads(String),
@@ -66,10 +66,9 @@ pub enum RuntimeConfigError {
 impl std::fmt::Display for RuntimeConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RuntimeConfigError::Kernel(v) => write!(
-                f,
-                "APR_KERNEL={v:?}: expected auto, reference, fused, or simd"
-            ),
+            RuntimeConfigError::Kernel(v) => {
+                write!(f, "APR_KERNEL={v:?}: expected auto, reference, or fused")
+            }
             RuntimeConfigError::Threads(v) => write!(
                 f,
                 "APR_THREADS={v:?}: expected a non-negative integer (0 = all cores)"
@@ -98,7 +97,7 @@ pub struct RuntimeConfig {
     /// Chunk hand-out policy for parallel sweeps.
     pub chunking: ChunkingPolicy,
     /// Whether the kernel auto-probe may time backends on first use when
-    /// no kernel is forced. Off → the selector picks [`KernelKind::FusedSimd`].
+    /// no kernel is forced. Off → the selector picks [`KernelKind::FusedSwap`].
     pub probe: bool,
 }
 
@@ -200,7 +199,6 @@ fn parse_kernel(v: &str) -> Result<Option<KernelKind>, String> {
         "" | "auto" => Ok(None),
         "reference" => Ok(Some(KernelKind::Reference)),
         "fused" => Ok(Some(KernelKind::FusedSwap)),
-        "simd" => Ok(Some(KernelKind::FusedSimd)),
         _ => Err(v.to_string()),
     }
 }
@@ -232,7 +230,6 @@ fn encode_kernel(k: Option<KernelKind>) -> u8 {
         None => 1, // installed-as-auto still overrides the env
         Some(KernelKind::Reference) => 2,
         Some(KernelKind::FusedSwap) => 3,
-        Some(KernelKind::FusedSimd) => 4,
     }
 }
 
@@ -260,7 +257,6 @@ pub fn kernel_override() -> Option<KernelKind> {
     match KERNEL_OVERRIDE.load(Ordering::Acquire) {
         2 => Some(KernelKind::Reference),
         3 => Some(KernelKind::FusedSwap),
-        4 => Some(KernelKind::FusedSimd),
         _ => None,
     }
 }
@@ -301,9 +297,7 @@ pub fn probe_enabled() -> bool {
 }
 
 /// Non-panicking `APR_KERNEL` read for the selector: `Ok(None)` when
-/// unset or `auto`, a typed error on garbage. The deprecated
-/// [`crate::kernel_from_env`] routes through this and panics on `Err` to
-/// preserve its documented behaviour.
+/// unset or `auto`, a typed error on garbage.
 pub fn env_kernel() -> Result<Option<KernelKind>, RuntimeConfigError> {
     match std::env::var("APR_KERNEL") {
         Ok(v) => parse_kernel(&v).map_err(RuntimeConfigError::Kernel),
@@ -332,17 +326,12 @@ mod tests {
             ("", None),
             ("reference", Some(KernelKind::Reference)),
             ("fused", Some(KernelKind::FusedSwap)),
-            ("simd", Some(KernelKind::FusedSimd)),
         ] {
             let cfg = RuntimeConfig::parse(Some(name), None, None, None).unwrap();
             assert_eq!(cfg.kernel, want, "APR_KERNEL={name}");
         }
         // Round trip through the canonical names.
-        for kind in [
-            KernelKind::Reference,
-            KernelKind::FusedSwap,
-            KernelKind::FusedSimd,
-        ] {
+        for kind in [KernelKind::Reference, KernelKind::FusedSwap] {
             let cfg = RuntimeConfig::parse(Some(kind.as_str()), None, None, None).unwrap();
             assert_eq!(cfg.kernel, Some(kind));
         }
@@ -353,6 +342,10 @@ mod tests {
         assert_eq!(
             RuntimeConfig::parse(Some("fast"), None, None, None),
             Err(RuntimeConfigError::Kernel("fast".into()))
+        );
+        assert_eq!(
+            RuntimeConfig::parse(Some("simd"), None, None, None),
+            Err(RuntimeConfigError::Kernel("simd".into()))
         );
         assert_eq!(
             RuntimeConfig::parse(None, Some("-3"), None, None),
@@ -388,11 +381,11 @@ mod tests {
     #[test]
     fn builder_style_setters_compose() {
         let cfg = RuntimeConfig::default()
-            .with_kernel(KernelKind::FusedSimd)
+            .with_kernel(KernelKind::FusedSwap)
             .with_threads(2)
             .with_chunking(ChunkingPolicy::Static)
             .with_probe(false);
-        assert_eq!(cfg.kernel, Some(KernelKind::FusedSimd));
+        assert_eq!(cfg.kernel, Some(KernelKind::FusedSwap));
         assert_eq!(cfg.threads, 2);
         assert_eq!(cfg.chunking, ChunkingPolicy::Static);
         assert!(!cfg.probe);

@@ -11,9 +11,9 @@
 //!    silently ignored typo would invalidate a benchmark run),
 //! 3. otherwise, when the probe is enabled
 //!    ([`apr_kernels::runtime::probe_enabled`]), a one-shot startup
-//!    micro-probe that times all three backends on a small periodic box
-//!    and memoizes the fastest; with the probe disabled the default is
-//!    [`KernelKind::FusedSimd`].
+//!    micro-probe that times both backends on a small periodic box and
+//!    memoizes the faster; with the probe disabled the default is
+//!    [`KernelKind::FusedSwap`].
 //!
 //! The probe runs once per process (under a `OnceLock`), costs a few
 //! milliseconds, and is deliberately tiny — 12³ nodes — so it measures
@@ -30,7 +30,7 @@ static PROBED: OnceLock<KernelKind> = OnceLock::new();
 /// The process-default kernel: the installed
 /// [`RuntimeConfig`](apr_kernels::RuntimeConfig) override if pinned, else
 /// `APR_KERNEL`, else the (memoized) micro-probe winner — or
-/// [`KernelKind::FusedSimd`] when probing is disabled.
+/// [`KernelKind::FusedSwap`] when probing is disabled.
 pub fn default_kernel() -> KernelKind {
     if runtime::kernel_pinned() {
         if let Some(kind) = runtime::kernel_override() {
@@ -44,25 +44,21 @@ pub fn default_kernel() -> KernelKind {
         }
     }
     if !runtime::probe_enabled() {
-        return KernelKind::FusedSimd;
+        return KernelKind::FusedSwap;
     }
     *PROBED.get_or_init(probe)
 }
 
-/// Time every backend on a small periodic forced box and return the
-/// fastest. Ties go to the later entrant in the list below —
-/// [`KernelKind::FusedSimd`] over [`KernelKind::FusedSwap`] over
-/// [`KernelKind::Reference`] — which also orders them by memory footprint
-/// (the fused backends carry no second distribution array).
+/// Time both backends on a small periodic forced box and return the
+/// faster. A tie goes to [`KernelKind::FusedSwap`], which carries no
+/// second distribution array.
 fn probe() -> KernelKind {
-    let mut best = (KernelKind::Reference, probe_one(KernelKind::Reference));
-    for kind in [KernelKind::FusedSwap, KernelKind::FusedSimd] {
-        let t = probe_one(kind);
-        if t <= best.1 {
-            best = (kind, t);
-        }
+    let reference = probe_one(KernelKind::Reference);
+    if probe_one(KernelKind::FusedSwap) <= reference {
+        KernelKind::FusedSwap
+    } else {
+        KernelKind::Reference
     }
-    best.0
 }
 
 fn probe_one(kind: KernelKind) -> std::time::Duration {
@@ -90,9 +86,15 @@ fn probe_one(kind: KernelKind) -> std::time::Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apr_kernels::RuntimeConfig;
+    use std::sync::Mutex;
+
+    /// Serializes the tests that read or install the process defaults.
+    static DEFAULTS_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn default_kernel_is_stable_across_calls() {
+        let _guard = DEFAULTS_LOCK.lock().unwrap();
         let first = default_kernel();
         for _ in 0..3 {
             assert_eq!(default_kernel(), first);
@@ -102,9 +104,26 @@ mod tests {
     #[test]
     fn probe_picks_one_of_the_probed_kernels() {
         let k = *PROBED.get_or_init(probe);
-        assert!(matches!(
-            k,
-            KernelKind::Reference | KernelKind::FusedSwap | KernelKind::FusedSimd
-        ));
+        assert!(matches!(k, KernelKind::Reference | KernelKind::FusedSwap));
+    }
+
+    #[test]
+    fn probe_off_defaults_to_fused_swap() {
+        let _guard = DEFAULTS_LOCK.lock().unwrap();
+        // The effective defaults right now, reinstalled afterwards.
+        let before = RuntimeConfig {
+            kernel: runtime::env_kernel().unwrap_or(None),
+            threads: apr_exec::current_threads(),
+            chunking: runtime::default_chunking(),
+            probe: runtime::probe_enabled(),
+        };
+        RuntimeConfig {
+            kernel: None,
+            probe: false,
+            ..before
+        }
+        .install();
+        assert_eq!(default_kernel(), KernelKind::FusedSwap);
+        before.install();
     }
 }

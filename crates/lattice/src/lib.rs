@@ -12,7 +12,6 @@
 pub mod checkpoint;
 pub mod d3q19;
 pub mod kernel_select;
-pub mod mrt;
 pub mod observables;
 pub mod setup;
 pub mod solver;
@@ -25,7 +24,6 @@ pub use d3q19::{
     equilibrium, equilibrium_all, lattice_viscosity_from_tau, tau_from_lattice_viscosity, C, CS2,
     OPPOSITE, Q, W,
 };
-pub use mrt::{MrtBasis, MrtRates};
 pub use observables::{
     max_mach, reynolds_number, shear_rate_magnitude, strain_rate, velocity_profile, viscous_stress,
     vorticity,

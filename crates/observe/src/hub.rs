@@ -28,6 +28,9 @@ pub const DEFAULT_SUBSCRIPTION_CAPACITY: usize = 1024;
 /// worker after each slice it grants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProgressSample {
+    /// Instance id of the publishing service: session ids are numbered
+    /// per service, so subscribers match on `(service, session)`.
+    pub service: u64,
     /// Session id.
     pub session: u64,
     /// Steps completed so far.
@@ -227,6 +230,7 @@ mod tests {
 
     fn progress(session: u64, steps_done: u64) -> Sample {
         Sample::Progress(ProgressSample {
+            service: 1,
             session,
             steps_done,
             target_steps: 100,

@@ -715,7 +715,8 @@ impl SimSession for MultiWindowEngine {
             };
 
             let mut tracker = ckpt.require(&format!("w{i}.tracker"))?;
-            let samples = tracker.usize()?;
+            // Each sample is a u64 step plus a Vec3: 32 bytes.
+            let samples = tracker.count(32)?;
             let mut history = Vec::with_capacity(samples);
             for _ in 0..samples {
                 let step = tracker.u64()?;
@@ -834,5 +835,29 @@ mod tests {
         let unit = WindowUnit::new(&one.coarse, fine, [5.0, 5.0, 4.0], 2, 0.3, 7).unwrap();
         one.add_window(unit).unwrap();
         assert!(one.resume(&blob).is_err());
+    }
+
+    #[test]
+    fn oversized_tracker_count_is_a_format_error() {
+        let a = two_window_engine();
+        let good = SimSession::suspend(&a);
+        let ckpt = CheckpointReader::parse(&good).unwrap();
+        // 2^36 samples of 32 bytes each, backed by one sample's worth.
+        let mut tracker = ByteWriter::new();
+        tracker.usize(1 << 36);
+        tracker.bytes(&[0; 32]);
+        let tracker = tracker.into_bytes();
+        let mut w = CheckpointWriter::new();
+        for name in ckpt.section_names() {
+            let bytes = if name == "w1.tracker" {
+                tracker.clone()
+            } else {
+                ckpt.get(name).unwrap().to_vec()
+            };
+            w.section(name, bytes);
+        }
+        let mut b = two_window_engine();
+        assert!(matches!(b.resume(&w.finish()), Err(GuardError::Format(_))));
+        b.resume(&good).unwrap();
     }
 }

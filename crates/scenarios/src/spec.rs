@@ -208,13 +208,12 @@ pub struct ScenarioSpec {
     pub warmup_steps: u64,
     /// Execution knobs (kernel, chunking). **Excluded from the hash**:
     /// every kernel and chunking policy is bit-identical by contract, so
-    /// warm blobs are valid across runtimes (test-enforced, as for
-    /// `TubeScenario`).
+    /// warm blobs are valid across runtimes (test-enforced).
     pub runtime: RuntimeConfig,
 }
 
 impl ScenarioSpec {
-    /// The `TubeScenario::small` recipe as a spec: 17×17×24 coarse tube,
+    /// The small plasma-only tube: 17×17×24 coarse tube,
     /// n = 2, 13³ fine window, no cells.
     pub fn tube_small(seed: u64) -> Self {
         Self {
@@ -239,7 +238,7 @@ impl ScenarioSpec {
         }
     }
 
-    /// The `TubeScenario::cellular` recipe as a spec: 21×21×48 tube with a
+    /// The cellular tube: 21×21×48 tube with a
     /// cell-laden window (hematocrit 0.12, n = 3).
     pub fn tube_cellular(seed: u64) -> Self {
         Self {
@@ -671,12 +670,7 @@ impl ScenarioSpec {
             "],\"seed\":{},\"warmup_steps\":{},",
             self.seed, self.warmup_steps
         ));
-        let kernel = match self.runtime.kernel {
-            None => "auto",
-            Some(KernelKind::Reference) => "reference",
-            Some(KernelKind::FusedSwap) => "fused",
-            Some(KernelKind::FusedSimd) => "simd",
-        };
+        let kernel = self.runtime.kernel.map_or("auto", KernelKind::as_str);
         out.push_str(&format!(
             "\"runtime\":{{\"kernel\":\"{kernel}\",\"threads\":{},\
              \"chunking\":\"{}\",\"probe\":{}}}}}",
@@ -788,7 +782,6 @@ impl ScenarioSpec {
                 "auto" => None,
                 "reference" => Some(KernelKind::Reference),
                 "fused" => Some(KernelKind::FusedSwap),
-                "simd" => Some(KernelKind::FusedSimd),
                 k => return Err(ScenarioError::Json(format!("unknown kernel {k:?}"))),
             };
             let chunking = match str_field(r, "chunking")? {
@@ -977,6 +970,16 @@ mod tests {
         assert!(matches!(
             ScenarioSpec::from_json("not json at all"),
             Err(ScenarioError::Json(_))
+        ));
+        // An otherwise valid spec naming an unknown kernel.
+        let mut spec = ScenarioSpec::tube_small(1);
+        spec.runtime = RuntimeConfig::default().with_kernel(KernelKind::FusedSwap);
+        let text = spec.to_json();
+        assert!(text.contains("\"kernel\":\"fused\""), "{text}");
+        let simd = text.replace("\"kernel\":\"fused\"", "\"kernel\":\"simd\"");
+        assert!(matches!(
+            ScenarioSpec::from_json(&simd),
+            Err(ScenarioError::Json(msg)) if msg.contains("simd")
         ));
     }
 

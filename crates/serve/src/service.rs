@@ -39,7 +39,7 @@ use apr_guard::FileStore;
 use apr_observe::{hub, ProgressSample, Sample, ServiceSample, Subscription};
 use apr_telemetry::TelemetryEvent;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -138,6 +138,8 @@ struct State {
 }
 
 struct Shared {
+    /// Process-unique instance id, stamped on every progress sample.
+    service: u64,
     state: Mutex<State>,
     /// Workers wait here for runnable sessions.
     ready: Condvar,
@@ -167,12 +169,13 @@ fn service_sample(st: &State) -> ServiceSample {
 /// arriving while nobody polls are bounded by the hub's drop-oldest queue.
 pub struct ProgressSubscription {
     inner: Subscription,
+    service: u64,
     session: Option<u64>,
 }
 
 impl ProgressSubscription {
     fn wants(&self, sample: &ProgressSample) -> bool {
-        self.session.is_none_or(|id| sample.session == id)
+        sample.service == self.service && self.session.is_none_or(|id| sample.session == id)
     }
 
     /// Next matching progress sample without blocking.
@@ -228,15 +231,12 @@ impl SimService {
     /// Start the service: spawns `config.workers` scheduler threads
     /// sharing a `workers × lanes_per_worker`-lane budget.
     pub fn start(config: ServeConfig) -> Self {
+        static INSTANCE: AtomicU64 = AtomicU64::new(1);
+        let service = INSTANCE.fetch_add(1, Ordering::Relaxed);
         // A finite park cap needs somewhere to spill: a service-private
         // temp directory, removed on shutdown.
         let spill_dir = (config.park_bytes_cap < usize::MAX).then(|| {
-            static INSTANCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-            std::env::temp_dir().join(format!(
-                "apr-serve-spill-{}-{}",
-                std::process::id(),
-                INSTANCE.fetch_add(1, Ordering::Relaxed)
-            ))
+            std::env::temp_dir().join(format!("apr-serve-spill-{}-{service}", std::process::id()))
         });
         let parked = match &spill_dir {
             Some(dir) => SpillStore::new(
@@ -246,6 +246,7 @@ impl SimService {
             None => SpillStore::unbounded(),
         };
         let shared = Arc::new(Shared {
+            service,
             state: Mutex::new(State {
                 next_id: 0,
                 queue: VecDeque::new(),
@@ -356,12 +357,14 @@ impl SimService {
     /// publishes a [`ProgressSample`] (steps done, steps/s, cache-hit,
     /// completion) to the global metrics hub; this returns a bounded
     /// subscription filtered to `session` when `Some`, or to all sessions
-    /// when `None`. Replaces polling [`Self::progress_snapshot`] for live
-    /// consumers: samples push as slices retire instead of being pulled
-    /// under the scheduler lock.
+    /// when `None`. Samples published by other services in the process
+    /// are never delivered. Replaces polling [`Self::progress_snapshot`]
+    /// for live consumers: samples push as slices retire instead of being
+    /// pulled under the scheduler lock.
     pub fn subscribe_progress(&self, session: Option<u64>) -> ProgressSubscription {
         ProgressSubscription {
             inner: hub().subscribe(),
+            service: self.shared.service,
             session,
         }
     }
@@ -479,6 +482,7 @@ struct SliceOutcome {
 /// Build the per-slice progress sample published to the metrics hub.
 /// Called under the state lock with the just-updated session entry.
 fn progress_sample(
+    service: u64,
     id: u64,
     entry: &SessionEntry,
     stepped: u64,
@@ -486,6 +490,7 @@ fn progress_sample(
     completed: bool,
 ) -> ProgressSample {
     ProgressSample {
+        service,
         session: id,
         steps_done: entry.steps_done,
         target_steps: entry.spec.target_steps,
@@ -570,7 +575,8 @@ fn worker_loop(shared: &Arc<Shared>, budget: &Arc<WorkerBudget>, cfg: ServeConfi
                         preempts: entry.stats.preempts,
                         error: None,
                     });
-                    let progress = progress_sample(id, entry, out.stepped, out.step_ns, true);
+                    let progress =
+                        progress_sample(shared.service, id, entry, out.stepped, out.step_ns, true);
                     st.inflight -= 1;
                     let svc = service_sample(&st);
                     drop(st);
@@ -580,7 +586,8 @@ fn worker_loop(shared: &Arc<Shared>, budget: &Arc<WorkerBudget>, cfg: ServeConfi
                 } else {
                     entry.stats.preempts += 1;
                     entry.status = SessionStatus::Queued;
-                    let progress = progress_sample(id, entry, out.stepped, out.step_ns, false);
+                    let progress =
+                        progress_sample(shared.service, id, entry, out.stepped, out.step_ns, false);
                     let blob = out.parked.expect("preempted slice parks a checkpoint");
                     st.parked
                         .put(&park_key(id), blob)
@@ -610,7 +617,7 @@ fn worker_loop(shared: &Arc<Shared>, budget: &Arc<WorkerBudget>, cfg: ServeConfi
                     preempts: entry.stats.preempts,
                     error: Some(message),
                 });
-                let progress = progress_sample(id, entry, 0, 1, true);
+                let progress = progress_sample(shared.service, id, entry, 0, 1, true);
                 st.inflight -= 1;
                 let svc = service_sample(&st);
                 drop(st);

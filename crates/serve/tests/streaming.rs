@@ -14,9 +14,9 @@ fn collect_until_complete(
         let p = sub
             .recv_timeout(Duration::from_secs(30))
             .expect("progress stream must not stall");
-        if p.session != session {
-            continue; // another test's session on the shared hub
-        }
+        // Other tests' services share the process-wide hub; the
+        // subscription delivers only this service's sessions.
+        assert_eq!(p.session, session, "sample from a foreign session");
         let done = p.completed;
         samples.push(p);
         if done {
